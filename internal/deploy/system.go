@@ -190,6 +190,11 @@ type System struct {
 	ClusterOf []string
 }
 
+// testWrapEndpoint, when a test sets it, wraps every node's endpoint
+// outermost (outside any chaos injector): the seam equivalence tests use to
+// run a deployment over an oracle transport.
+var testWrapEndpoint func(transport.Endpoint) transport.Endpoint
+
 // NewSystem builds and starts a deployment. After it returns, the overlay
 // is joined, every node's services are registered in the DHT, and the
 // simulator has quiesced.
@@ -247,6 +252,15 @@ func NewSystem(opts SystemOptions) *System {
 			ch := transport.NewChaos(ep, cfg, clk)
 			chaosEPs[i] = ch
 			return ch
+		}
+	}
+	if testWrapEndpoint != nil {
+		inner := simOpts.WrapEndpoint
+		simOpts.WrapEndpoint = func(i int, ep transport.Endpoint, clk clock.Clock) transport.Endpoint {
+			if inner != nil {
+				ep = inner(i, ep, clk)
+			}
+			return testWrapEndpoint(ep)
 		}
 	}
 	if fo != nil {

@@ -91,11 +91,17 @@ func (g *Gossip) LocalSummary() ClusterSummary {
 		BoundaryBps: g.cfg.BoundaryBps,
 		Border:      g.node.Info(),
 	}
-	services := map[string]bool{}
+	// Sum in ID order, not map order: float addition is not associative,
+	// and the same members must give the same summary in every run.
+	alive := make([]*member, 0, len(g.members))
 	for _, m := range g.members {
-		if m.State != StateAlive {
-			continue
+		if m.State == StateAlive {
+			alive = append(alive, m)
 		}
+	}
+	sort.Slice(alive, func(i, j int) bool { return alive[i].Info.ID.Cmp(alive[j].Info.ID) < 0 })
+	services := map[string]bool{}
+	for _, m := range alive {
 		s.Members++
 		if m.Digest.Version == 0 {
 			continue

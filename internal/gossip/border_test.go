@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -183,5 +184,34 @@ func TestSummaryExchangeRejectedWhenUnscoped(t *testing.T) {
 	}
 	if got := flat.Summaries(); len(got) != 0 {
 		t.Fatalf("flat node holds summaries %+v", got)
+	}
+}
+
+// TestLocalSummaryIsOrderIndependent pins bit-identical aggregate headroom
+// across repeated summaries of the same members: float addition is not
+// associative, so summing in map order gave run-to-run differences.
+func TestLocalSummaryIsOrderIndependent(t *testing.T) {
+	_, g, _ := fixture(t)
+	g.cfg.Cluster = "a"
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 40; i++ {
+		id := overlay.RandomID(rng)
+		g.members[id] = &member{Member: Member{
+			Info:  overlay.NodeInfo{ID: id, Addr: "m"},
+			State: StateAlive,
+			Digest: Digest{Version: 1, Report: monitor.Report{
+				InBpsCap:  rng.Float64() * 1e6,
+				OutBpsCap: rng.Float64() * 1e-3,
+			}},
+		}}
+	}
+	first := g.LocalSummary()
+	for i := 0; i < 50; i++ {
+		s := g.LocalSummary()
+		if math.Float64bits(s.AggAvailInBps) != math.Float64bits(first.AggAvailInBps) ||
+			math.Float64bits(s.AggAvailOutBps) != math.Float64bits(first.AggAvailOutBps) {
+			t.Fatalf("summary %d: in %v out %v, first in %v out %v",
+				i, s.AggAvailInBps, s.AggAvailOutBps, first.AggAvailInBps, first.AggAvailOutBps)
+		}
 	}
 }

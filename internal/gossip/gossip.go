@@ -266,10 +266,10 @@ type Gossip struct {
 func New(node *overlay.Node, clk clock.Clock, rng *rand.Rand, cfg Config) *Gossip {
 	cfg.defaults()
 	g := &Gossip{
-		node:    node,
-		clk:     clk,
-		rng:     rng,
-		cfg:     cfg,
+		node:      node,
+		clk:       clk,
+		rng:       rng,
+		cfg:       cfg,
 		members:   make(map[overlay.ID]*member),
 		queue:     make(map[overlay.ID]*queued),
 		summaries: make(map[string]*remoteSummary),

@@ -22,7 +22,8 @@ const dataEnvelopeOverhead = 2 + IDBytes
 // bytes fall back to the JSON envelope.
 func (n *Node) DirectDataPadded(to transport.Addr, app string, body []byte, pad int) error {
 	if len(app) > 255 || len(n.info.Addr) > 255 {
-		return n.DirectPadded(to, app, body, pad)
+		// DirectPadded keeps body by reference; callers may reuse theirs.
+		return n.DirectPadded(to, app, append([]byte(nil), body...), pad)
 	}
 	buf := make([]byte, 0, dataEnvelopeOverhead+len(app)+len(n.info.Addr)+len(body))
 	buf = append(buf, byte(len(app)))

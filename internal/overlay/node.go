@@ -1,9 +1,8 @@
 package overlay
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
+	"slices"
 	"time"
 
 	"rasc.dev/rasc/internal/clock"
@@ -17,18 +16,21 @@ const DefaultLeafSetSize = 16
 const msgType = "overlay"
 
 // DeliverFunc receives a routed message at the node responsible for key.
+// The body is read-only: in simulation it is the sender's slice, shared by
+// every delivery of the message. Likewise, a body handed to Route, Direct,
+// Request or respond must not be modified afterwards.
 type DeliverFunc func(key ID, src NodeInfo, body []byte)
 
 // RequestHandler serves a direct request; it must call respond exactly once
-// (errStr empty on success).
+// (errStr empty on success). The body is read-only, as for DeliverFunc.
 type RequestHandler func(from NodeInfo, body []byte, respond func(body []byte, errStr string))
 
 // ErrTimeout is passed to request callbacks whose peer did not answer in
 // time.
 var ErrTimeout = errors.New("overlay: request timed out")
 
-// envelope is the wire format for every overlay message, JSON-encoded into
-// transport.Message.Payload.
+// envelope is every overlay control message. It travels by reference in
+// simulation and JSON-encoded over sockets (see wire.go).
 type envelope struct {
 	Kind   string     `json:"k"`
 	App    string     `json:"a,omitempty"`
@@ -245,11 +247,10 @@ func (n *Node) Direct(to transport.Addr, app string, body []byte) {
 // local send failures (notably a full uplink buffer), which the stream
 // runtime counts as drops.
 func (n *Node) DirectPadded(to transport.Addr, app string, body []byte, pad int) error {
-	b, err := json.Marshal(envelope{Kind: kindDirect, App: app, Src: n.info, Body: body})
-	if err != nil {
-		panic(fmt.Sprintf("overlay: marshal: %v", err))
-	}
-	return n.ep.Send(to, transport.Message{Type: msgType, Payload: b, Pad: pad, Datagram: true})
+	msg := envelopeMessage(envelope{Kind: kindDirect, App: app, Src: n.info, Body: body})
+	msg.Pad = pad
+	msg.Datagram = true
+	return n.ep.Send(to, msg)
 }
 
 // RegisterDropObserver installs a callback for datagrams addressed to the
@@ -271,11 +272,8 @@ func (n *Node) onDropped(from transport.Addr, msg transport.Message) {
 	if msg.Type != msgType {
 		return
 	}
-	var env envelope
-	if err := json.Unmarshal(msg.Payload, &env); err != nil {
-		return
-	}
-	if env.Kind != kindDirect {
+	env, ok := decodeEnvelope(msg)
+	if !ok || env.Kind != kindDirect {
 		return
 	}
 	if h, ok := n.dropObs[env.App]; ok {
@@ -384,12 +382,8 @@ func (n *Node) RTTOf(id ID) (time.Duration, bool) {
 }
 
 func (n *Node) send(to transport.Addr, env envelope) {
-	b, err := json.Marshal(env)
-	if err != nil {
-		panic(fmt.Sprintf("overlay: marshal: %v", err)) // envelope is always marshalable
-	}
 	// Send errors are best-effort; a dead peer is handled by timeouts.
-	_ = n.ep.Send(to, transport.Message{Type: msgType, Payload: b})
+	_ = n.ep.Send(to, envelopeMessage(env))
 }
 
 // nextHop picks the Pastry next hop for key, or ok=false when this node is
@@ -478,7 +472,9 @@ func (n *Node) deliverLocal(env envelope) {
 	case kindJoin:
 		// This node is the joiner's root Z: reply with accumulated rows
 		// plus Z's own leaf set and identity.
-		nodes := append(env.Nodes, n.leaf.all()...)
+		// Clip first: the reply travels by reference, and a re-routed
+		// retry of this envelope may append to the same array again.
+		nodes := append(slices.Clip(env.Nodes), n.leaf.all()...)
 		nodes = append(nodes, n.info)
 		n.learn(env.Joiner)
 		n.send(env.Joiner.Addr, envelope{Kind: kindJoinReply, Src: n.info, Nodes: nodes})
@@ -493,8 +489,8 @@ func (n *Node) onMessage(from transport.Addr, msg transport.Message) {
 	if msg.Type != msgType {
 		return
 	}
-	var env envelope
-	if err := json.Unmarshal(msg.Payload, &env); err != nil {
+	env, ok := decodeEnvelope(msg)
+	if !ok {
 		return // malformed: drop
 	}
 	n.learn(env.Src)

@@ -17,10 +17,20 @@ type NodeInfo struct {
 }
 
 // routingTable is the classic Pastry table: row r holds nodes that share a
-// prefix of length r with the owner and differ in digit r.
+// prefix of length r with the owner and differ in digit r. Rows are
+// allocated on first insert (most of a small overlay's rows stay empty), so
+// every reader must treat a nil row as empty.
 type routingTable struct {
 	owner ID
-	rows  [NumDigits][DigitBase]*NodeInfo
+	rows  [NumDigits]*[DigitBase]*NodeInfo
+}
+
+// slot returns the address of the (row, col) entry, allocating the row.
+func (t *routingTable) slot(row, col int) **NodeInfo {
+	if t.rows[row] == nil {
+		t.rows[row] = new([DigitBase]*NodeInfo)
+	}
+	return &t.rows[row][col]
 }
 
 // add inserts info if its slot is empty. It returns true if the table
@@ -31,16 +41,21 @@ func (t *routingTable) add(info NodeInfo) bool {
 	}
 	row := t.owner.CommonPrefixLen(info.ID)
 	col := info.ID.Digit(row)
-	if t.rows[row][col] != nil {
+	if t.lookup(row, col) != nil {
 		return false
 	}
 	cp := info
-	t.rows[row][col] = &cp
+	*t.slot(row, col) = &cp
 	return true
 }
 
 // lookup returns the entry for the given (row, digit), or nil.
-func (t *routingTable) lookup(row, digit int) *NodeInfo { return t.rows[row][digit] }
+func (t *routingTable) lookup(row, digit int) *NodeInfo {
+	if t.rows[row] == nil {
+		return nil
+	}
+	return t.rows[row][digit]
+}
 
 // replace overwrites the slot owning info's prefix with info.
 func (t *routingTable) replace(info NodeInfo) {
@@ -50,7 +65,7 @@ func (t *routingTable) replace(info NodeInfo) {
 	row := t.owner.CommonPrefixLen(info.ID)
 	col := info.ID.Digit(row)
 	cp := info
-	t.rows[row][col] = &cp
+	*t.slot(row, col) = &cp
 }
 
 // slotFor returns the (row, col) a peer belongs in.
@@ -69,7 +84,7 @@ func (t *routingTable) remove(id ID) bool {
 		return false
 	}
 	col := id.Digit(row)
-	if e := t.rows[row][col]; e != nil && e.ID == id {
+	if e := t.lookup(row, col); e != nil && e.ID == id {
 		t.rows[row][col] = nil
 		return true
 	}
@@ -78,6 +93,9 @@ func (t *routingTable) remove(id ID) bool {
 
 // row returns a copy of the entries at row r (used by the join protocol).
 func (t *routingTable) row(r int) []NodeInfo {
+	if t.rows[r] == nil {
+		return nil
+	}
 	var out []NodeInfo
 	for _, e := range t.rows[r] {
 		if e != nil {
@@ -90,8 +108,11 @@ func (t *routingTable) row(r int) []NodeInfo {
 // all returns every entry in the table.
 func (t *routingTable) all() []NodeInfo {
 	var out []NodeInfo
-	for r := range t.rows {
-		for _, e := range t.rows[r] {
+	for _, row := range t.rows {
+		if row == nil {
+			continue
+		}
+		for _, e := range row {
 			if e != nil {
 				out = append(out, *e)
 			}
@@ -103,8 +124,11 @@ func (t *routingTable) all() []NodeInfo {
 // size counts populated slots.
 func (t *routingTable) size() int {
 	n := 0
-	for r := range t.rows {
-		for _, e := range t.rows[r] {
+	for _, row := range t.rows {
+		if row == nil {
+			continue
+		}
+		for _, e := range row {
 			if e != nil {
 				n++
 			}
@@ -132,37 +156,41 @@ func (l *leafSet) add(info NodeInfo) bool {
 	if info.ID == l.owner {
 		return false
 	}
-	changed := false
-	if l.insert(&l.cw, info, func(x ID) ID { return CWDist(l.owner, x) }) {
-		changed = true
-	}
-	if l.insert(&l.ccw, info, func(x ID) ID { return CWDist(x, l.owner) }) {
-		changed = true
-	}
-	return changed
+	cw := l.insert(&l.cw, info, true)
+	ccw := l.insert(&l.ccw, info, false)
+	return cw || ccw
 }
 
-func (l *leafSet) insert(side *[]NodeInfo, info NodeInfo, dist func(ID) ID) bool {
-	for _, e := range *side {
-		if e.ID == info.ID {
-			return false
-		}
+// dist is x's ring distance from the owner: clockwise for the cw side,
+// counter-clockwise otherwise.
+func (l *leafSet) dist(x ID, clockwise bool) ID {
+	if clockwise {
+		return CWDist(l.owner, x)
 	}
-	s := append(*side, info)
-	sort.Slice(s, func(i, j int) bool {
-		return dist(s[i].ID).Cmp(dist(s[j].ID)) < 0
-	})
-	if len(s) > l.half {
-		s = s[:l.half]
+	return CWDist(x, l.owner)
+}
+
+// insert places info in side, kept sorted by ascending distance and
+// trimmed to half entries, and reports whether it was added. Distances
+// from the owner are distinct per ID, so an equal distance means info is
+// already present.
+func (l *leafSet) insert(side *[]NodeInfo, info NodeInfo, clockwise bool) bool {
+	s := *side
+	d := l.dist(info.ID, clockwise)
+	if len(s) >= l.half && (l.half == 0 || l.dist(s[l.half-1].ID, clockwise).Cmp(d) < 0) {
+		return false // full, and every member is closer
 	}
+	i := sort.Search(len(s), func(i int) bool { return l.dist(s[i].ID, clockwise).Cmp(d) >= 0 })
+	if i < len(s) && s[i].ID == info.ID {
+		return false
+	}
+	if len(s) < l.half {
+		s = append(s, NodeInfo{})
+	}
+	copy(s[i+1:], s[i:])
+	s[i] = info
 	*side = s
-	// Report change only if info survived the trim.
-	for _, e := range *side {
-		if e.ID == info.ID {
-			return true
-		}
-	}
-	return false
+	return true
 }
 
 // remove deletes id from both sides; returns true if present.

@@ -3,6 +3,8 @@ package overlay
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"rasc.dev/rasc/internal/transport"
@@ -207,5 +209,133 @@ func TestLeafSetKeepsClosest(t *testing.T) {
 		if ls.cw[i].ID != cands[i].id {
 			t.Fatalf("cw[%d] = %v, want %v", i, ls.cw[i].ID, cands[i].id)
 		}
+	}
+}
+
+// insertOracle is the original leaf-set insert: append, sort every entry
+// by distance, trim to half, and report whether info survived the trim.
+func (l *leafSet) insertOracle(side *[]NodeInfo, info NodeInfo, clockwise bool) bool {
+	for _, e := range *side {
+		if e.ID == info.ID {
+			return false
+		}
+	}
+	s := append(*side, info)
+	sort.Slice(s, func(i, j int) bool {
+		return l.dist(s[i].ID, clockwise).Cmp(l.dist(s[j].ID, clockwise)) < 0
+	})
+	if len(s) > l.half {
+		s = s[:l.half]
+	}
+	*side = s
+	for _, e := range *side {
+		if e.ID == info.ID {
+			return true
+		}
+	}
+	return false
+}
+
+// TestLeafSetInsertMatchesOracle drives random add/remove streams through
+// the binary insert and the append-sort-trim oracle and requires identical
+// sides and identical change reports after every operation.
+func TestLeafSetInsertMatchesOracle(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		owner := RandomID(rng)
+		size := []int{0, 2, 4, 16}[seed%4]
+		got, want := newLeafSet(owner, size), newLeafSet(owner, size)
+		var ids []ID
+		for op := 0; op < 2000; op++ {
+			if len(ids) > 0 && rng.Intn(4) == 0 {
+				id := ids[rng.Intn(len(ids))]
+				if got.remove(id) != want.remove(id) {
+					t.Fatalf("seed %d op %d: remove reports differ", seed, op)
+				}
+			} else {
+				var id ID
+				if len(ids) > 0 && rng.Intn(3) == 0 {
+					id = ids[rng.Intn(len(ids))] // re-add a known peer
+				} else {
+					id = RandomID(rng)
+					ids = append(ids, id)
+				}
+				for _, cw := range []bool{true, false} {
+					gs, ws := &got.ccw, &want.ccw
+					if cw {
+						gs, ws = &got.cw, &want.cw
+					}
+					if got.insert(gs, info(id), cw) != want.insertOracle(ws, info(id), cw) {
+						t.Fatalf("seed %d op %d cw=%v: insert reports differ", seed, op, cw)
+					}
+				}
+			}
+			if !reflect.DeepEqual(ids32(got.cw), ids32(want.cw)) || !reflect.DeepEqual(ids32(got.ccw), ids32(want.ccw)) {
+				t.Fatalf("seed %d op %d: sides differ\ncw  %v\n    %v\nccw %v\n    %v",
+					seed, op, ids32(got.cw), ids32(want.cw), ids32(got.ccw), ids32(want.ccw))
+			}
+		}
+	}
+}
+
+func ids32(s []NodeInfo) []ID {
+	out := make([]ID, len(s))
+	for i, e := range s {
+		out[i] = e.ID
+	}
+	return out
+}
+
+// TestLeafSetInsertDoesNotAllocate pins the hot path: learning a peer on
+// a full leaf set (every received message does) allocates nothing.
+func TestLeafSetInsertDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	l := newLeafSet(RandomID(rng), DefaultLeafSetSize)
+	for i := 0; i < 100; i++ {
+		l.add(info(RandomID(rng)))
+	}
+	peers := make([]NodeInfo, 64)
+	for i := range peers {
+		peers[i] = info(RandomID(rng))
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		l.add(peers[i%len(peers)])
+		i++
+	}); allocs != 0 {
+		t.Fatalf("leafSet.add allocated %.1f times per call", allocs)
+	}
+}
+
+// TestRoutingTableNilRows covers the lazily allocated rows: every reader
+// must treat a row that was never written as empty.
+func TestRoutingTableNilRows(t *testing.T) {
+	owner, _ := ParseID("a0000000000000000000000000000000")
+	rt := routingTable{owner: owner}
+	peer, _ := ParseID("a1000000000000000000000000000000")
+	for r := 0; r < NumDigits; r++ {
+		if rt.lookup(r, 1) != nil || rt.row(r) != nil {
+			t.Fatalf("row %d of an empty table is not empty", r)
+		}
+	}
+	if rt.remove(peer) || rt.all() != nil || rt.size() != 0 {
+		t.Fatal("empty table reported entries")
+	}
+	rt.add(info(peer))
+	for r := 0; r < NumDigits; r++ {
+		if (rt.rows[r] != nil) != (r == 1) {
+			t.Fatalf("row %d allocated = %v", r, rt.rows[r] != nil)
+		}
+	}
+	other, _ := ParseID("b0000000000000000000000000000000")
+	if rt.remove(other) {
+		t.Fatal("removed an absent peer from an unallocated row")
+	}
+	if !rt.remove(peer) || rt.lookup(1, 1) != nil || len(rt.all()) != 0 {
+		t.Fatal("remove left the entry behind")
+	}
+	rt.replace(info(other))
+	if got := rt.lookup(0, 0xb); got == nil || got.ID != other {
+		t.Fatalf("replace into an unallocated row: lookup = %v", got)
 	}
 }

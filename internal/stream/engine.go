@@ -400,7 +400,7 @@ func (e *Engine) StopSources(req string) {
 // queue or deadline drop.
 func (e *Engine) onDataDropped(_ overlay.ID, _ overlay.NodeInfo, body []byte) {
 	var m dataMsg
-	if err := json.Unmarshal(body, &m); err != nil {
+	if err := parseDataMsg(body, &m); err != nil {
 		return
 	}
 	e.dropArrival(m)
@@ -431,7 +431,7 @@ func (e *Engine) dropArrival(m dataMsg) {
 // local component.
 func (e *Engine) onData(_ overlay.ID, _ overlay.NodeInfo, body []byte) {
 	var m dataMsg
-	if err := json.Unmarshal(body, &m); err != nil {
+	if err := parseDataMsg(body, &m); err != nil {
 		return
 	}
 	e.handleUnit(m)
@@ -593,10 +593,7 @@ func (e *Engine) forward(c *component, in dataMsg) {
 // sendUnit transmits one data unit, padding the wire message to the unit's
 // simulated size. It returns an error when the unit was dropped locally.
 func (e *Engine) sendUnit(to overlay.NodeInfo, m dataMsg) error {
-	body, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
+	body := marshalDataMsg(&m)
 	pad := m.Size - len(body)
 	if pad < 0 {
 		pad = 0

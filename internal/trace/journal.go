@@ -49,10 +49,12 @@ type Decision struct {
 // the event loop, live nodes from the engine actor, and the admin
 // endpoints read from HTTP handler goroutines.
 type Journal struct {
-	mu        sync.Mutex
+	mu sync.Mutex
+	// decisions grows on demand up to capacity, then wraps: head is the
+	// oldest entry and the next to overwrite (0 while the ring grows).
 	decisions []Decision
+	capacity  int
 	head      int
-	n         int
 	total     int64
 	evicted   int64
 	nextTrace TraceID
@@ -68,7 +70,12 @@ func NewJournal(capacity int) *Journal {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Journal{decisions: make([]Decision, capacity)}
+	return &Journal{capacity: capacity}
+}
+
+// at returns the i'th oldest retained decision; caller holds j.mu.
+func (j *Journal) at(i int) *Decision {
+	return &j.decisions[(j.head+i)%len(j.decisions)]
 }
 
 // Begin opens a decision trace. The root span (ID 1) covers the whole
@@ -100,14 +107,13 @@ func (j *Journal) Begin(now time.Duration, app, trigger, cause string) *ActiveDe
 // append commits one completed decision, evicting the oldest when full.
 func (j *Journal) append(d Decision) {
 	j.mu.Lock()
-	if j.n == len(j.decisions) {
+	if len(j.decisions) < j.capacity {
+		j.decisions = append(j.decisions, d)
+	} else {
 		j.evicted++
 		telJournalEvicted.Inc()
-	}
-	j.decisions[j.head] = d
-	j.head = (j.head + 1) % len(j.decisions)
-	if j.n < len(j.decisions) {
-		j.n++
+		j.decisions[j.head] = d
+		j.head = (j.head + 1) % len(j.decisions)
 	}
 	j.total++
 	j.mu.Unlock()
@@ -126,9 +132,8 @@ func (j *Journal) Converge(app string, now time.Duration) {
 	}
 	var marked []obs
 	j.mu.Lock()
-	start := (j.head - j.n + len(j.decisions)) % len(j.decisions)
-	for i := 0; i < j.n; i++ {
-		d := &j.decisions[(start+i)%len(j.decisions)]
+	for i := range j.decisions {
+		d := j.at(i)
 		if d.App != app || d.Outcome != "success" || d.Converged {
 			continue
 		}
@@ -147,10 +152,9 @@ func (j *Journal) Converge(app string, now time.Duration) {
 func (j *Journal) Decisions() []Decision {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Decision, 0, j.n)
-	start := (j.head - j.n + len(j.decisions)) % len(j.decisions)
-	for i := 0; i < j.n; i++ {
-		out = append(out, j.decisions[(start+i)%len(j.decisions)])
+	out := make([]Decision, 0, len(j.decisions))
+	for i := range j.decisions {
+		out = append(out, *j.at(i))
 	}
 	return out
 }
@@ -159,7 +163,7 @@ func (j *Journal) Decisions() []Decision {
 func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.n
+	return len(j.decisions)
 }
 
 // Total returns the number of decisions ever completed.

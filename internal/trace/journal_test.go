@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -91,6 +92,50 @@ func TestJournalEviction(t *testing.T) {
 	ds := j.Decisions()
 	if ds[0].Trace != 2 || ds[1].Trace != 3 {
 		t.Fatalf("retained traces %d,%d, want 2,3 (oldest evicted)", ds[0].Trace, ds[1].Trace)
+	}
+}
+
+// TestJournalRingStates walks one journal through empty, partly full, full
+// and wrapped: the ring grows on demand, so each state has its own index
+// arithmetic, and an empty ring must not divide by its zero length.
+func TestJournalRingStates(t *testing.T) {
+	j := NewJournal(3)
+	if len(j.Decisions()) != 0 || j.Len() != 0 || j.Evicted() != 0 {
+		t.Fatal("empty journal reported decisions")
+	}
+	j.Converge("app", time.Second) // must not touch the empty ring
+	if len(j.LastByApp()) != 0 {
+		t.Fatal("empty journal has a last decision")
+	}
+	traces := func() []TraceID {
+		var out []TraceID
+		for _, d := range j.Decisions() {
+			out = append(out, d.Trace)
+		}
+		return out
+	}
+	for i, want := range [][]TraceID{{1}, {1, 2}, {1, 2, 3}, {2, 3, 4}, {3, 4, 5}, {4, 5, 6}, {5, 6, 7}} {
+		a := j.Begin(time.Duration(i)*time.Second, "app", "member_dead", "")
+		a.Complete(time.Duration(i)*time.Second+time.Millisecond, "full", nil)
+		var evicted int64 // zero until the ring is full
+		if i >= 3 {
+			evicted = int64(i - 2)
+		}
+		if got := traces(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("after %d: Decisions = %v, want %v", i+1, got, want)
+		}
+		if j.Len() != len(want) || j.Evicted() != evicted || j.Total() != int64(i+1) {
+			t.Fatalf("after %d: Len=%d Evicted=%d Total=%d", i+1, j.Len(), j.Evicted(), j.Total())
+		}
+	}
+	j.Converge("app", time.Hour)
+	for _, d := range j.Decisions() {
+		if !d.Converged {
+			t.Fatalf("wrapped ring missed decision %d on Converge", d.Trace)
+		}
+	}
+	if len(j.decisions) != 3 {
+		t.Fatalf("ring grew to %d entries, capacity 3", len(j.decisions))
 	}
 }
 

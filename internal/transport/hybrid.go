@@ -82,6 +82,7 @@ func (h *HybridEndpoint) Send(to Addr, msg Message) error {
 	if closed {
 		return ErrClosed
 	}
+	msg = msg.Materialize()
 	if !msg.Datagram {
 		return h.tcp.Send(to, msg)
 	}

@@ -9,7 +9,8 @@ import (
 // MemNetwork binds transport endpoints to simulator network nodes. All
 // message sends become simulated transmissions that consume link bandwidth
 // and experience latency, jitter and loss according to the netsim
-// configuration.
+// configuration. Messages travel by value, so a Body reaches the receiver
+// by reference, unserialized, billed at its WireLen.
 type MemNetwork struct {
 	nw     *netsim.Network
 	byAddr map[Addr]*memEndpoint
@@ -75,17 +76,16 @@ func (e *memEndpoint) Send(to Addr, msg Message) error {
 		return fmt.Errorf("%w: %s", ErrUnknownAddr, to)
 	}
 	env := memEnvelope{from: e.addr, msg: msg}
+	size := msg.WireSize()
 	if msg.Datagram {
-		if !e.net.nw.SendDroppable(e.node, dst.node, msg.WireSize(), env) {
+		if !e.net.nw.SendDroppable(e.node, dst.node, size, env) {
 			return ErrBacklog
 		}
-		telMemOut.Inc()
-		telMemOutBytes.Add(uint64(msg.WireSize()))
-		return nil
+	} else {
+		e.net.nw.Send(e.node, dst.node, size, env)
 	}
-	e.net.nw.Send(e.node, dst.node, msg.WireSize(), env)
 	telMemOut.Inc()
-	telMemOutBytes.Add(uint64(msg.WireSize()))
+	telMemOutBytes.Add(uint64(size))
 	return nil
 }
 

@@ -174,6 +174,9 @@ func (r *Resilient) SetDropHandler(h Handler) { r.inner.SetDropHandler(h) }
 // ErrBacklog when the peer's queue is full (the message is dropped).
 // Delivery errors discovered later are absorbed by the retry pipeline.
 func (r *Resilient) Send(to Addr, msg Message) error {
+	// Serialize up front: queued messages are batched by wire size and
+	// outlive the caller's hold on the body.
+	msg = msg.Materialize()
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()

@@ -144,6 +144,7 @@ func (e *TCPEndpoint) Send(to Addr, msg Message) error {
 	}
 	// Build the length prefix and frame body in one buffer so the frame
 	// goes out in a single write.
+	msg = msg.Materialize()
 	frame := make([]byte, 4, 4+2+len(e.addr)+msg.WireSize())
 	frame = appendTCPFrame(frame, e.addr, msg)
 	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))

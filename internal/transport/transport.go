@@ -15,9 +15,16 @@ type Addr string
 // additional bytes of application data that the message stands for (stream
 // data units carry a Pad instead of their literal bytes so the simulator
 // charges their true size without encoding megabytes of padding).
+//
+// Body, when set, replaces Payload with a body carried by reference: the
+// in-process transport delivers it as is and bills its WireLen, and socket
+// transports serialize it once (Materialize) before framing. A message sets
+// at most one of Payload and Body; a receiver must not modify a Body it was
+// handed, since duplicated deliveries share it.
 type Message struct {
 	Type    string `json:"t"`
 	Payload []byte `json:"p,omitempty"`
+	Body    Body   `json:"-"`
 	Pad     int    `json:"pad,omitempty"`
 	// Datagram marks the message as loss-tolerant (UDP-like): it may be
 	// dropped under link congestion, and the receiver may be told about
@@ -31,7 +38,30 @@ type Message struct {
 // this size against link bandwidth.
 func (m Message) WireSize() int {
 	const headerOverhead = 48 // framing + type tag + addressing
-	return headerOverhead + len(m.Type) + len(m.Payload) + m.Pad
+	n := len(m.Payload)
+	if m.Body != nil {
+		n = m.Body.WireLen()
+	}
+	return headerOverhead + len(m.Type) + n + m.Pad
+}
+
+// Body is a message body carried by reference until it reaches a socket.
+type Body interface {
+	// WireLen is the exact length of the serialized body.
+	WireLen() int
+	// AppendWire appends the serialized body to b.
+	AppendWire(b []byte) []byte
+}
+
+// Materialize returns m with its Body serialized into Payload in one
+// allocation; a message without a Body is returned unchanged.
+func (m Message) Materialize() Message {
+	if m.Body == nil {
+		return m
+	}
+	m.Payload = m.Body.AppendWire(make([]byte, 0, m.Body.WireLen()))
+	m.Body = nil
+	return m
 }
 
 // Handler processes an inbound message.
