@@ -374,7 +374,7 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 
 func BenchmarkEndToEndStreaming(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sys := NewSimulated(Options{Nodes: 16, Seed: int64(i + 1)})
+		sys := New(WithNodes(16), WithSeed(int64(i+1)))
 		req := Request{
 			ID:         "bench",
 			UnitBytes:  1250,

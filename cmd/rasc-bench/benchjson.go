@@ -110,8 +110,9 @@ func runAdmissionBenchJSON(path string) error {
 		return g
 	}
 
-	// Every admission re-solves the weighted fairness over the full
-	// population: the worst-case decision latency.
+	// An admitted probe joins the water-fill structure and settles the
+	// standing caps; its release leaves it again. One join plus one leave
+	// per iteration against the full population.
 	g := seed()
 	report.Benchmarks = append(report.Benchmarks, record("Admission/1000tenants",
 		testing.Benchmark(func(b *testing.B) {

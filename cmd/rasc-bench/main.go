@@ -45,8 +45,7 @@ func main() {
 		dpJSON    = flag.String("dataplane-json", "", "write the legacy-vs-batched data plane throughput comparison as JSON to this path and exit")
 		dpSpeedup = flag.Float64("dataplane-min-speedup", 0, "with -dataplane-json: fail unless the batched plane is at least this many times faster")
 
-		tsJSON    = flag.String("tenancy-scale-json", "", "write the incremental-vs-full-recompute tenancy scale comparison (5k tenants, churn + host storms) as JSON to this path and exit")
-		tsSpeedup = flag.Float64("tenancy-min-speedup", 0, "with -tenancy-scale-json: fail unless the incremental admit p50 is at least this many times faster")
+		tsJSON = flag.String("tenancy-scale-json", "", "write the tenancy scale report (5k tenants, churn + host storms) as JSON to this path and exit; fails when the admission p50 exceeds "+tsAdmitP50Budget.String())
 
 		fedJSON    = flag.String("federation-json", "", "write the federated-vs-flat multi-cluster composition comparison (3 clusters, partitioned catalog, boundary hand-offs) as JSON to this path and exit")
 		fedSuccess = flag.Float64("federation-min-handoff", 0, "with -federation-json: fail unless the hand-off success rate is at least this fraction")
@@ -70,7 +69,7 @@ func main() {
 		return
 	}
 	if *tsJSON != "" {
-		if err := runTenancyScaleBenchJSON(*tsJSON, *tsSpeedup); err != nil {
+		if err := runTenancyScaleBenchJSON(*tsJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "tenancy scale bench json: %v\n", err)
 			os.Exit(1)
 		}

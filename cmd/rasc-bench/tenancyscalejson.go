@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"time"
 
 	"rasc.dev/rasc/internal/experiment"
 )
 
-// tenancyScaleReport is the BENCH_tenancy_scale.json schema: the same
-// 5k-tenant churn+storm scenario through the incremental allocator and
-// the full-recompute baseline, compared on admission decision latency.
+// tenancyScaleReport is the BENCH_tenancy_scale.json schema: the
+// 5k-tenant churn+storm scenario through the fair-share allocator,
+// measured on admission decision latency and cap fan-out.
 type tenancyScaleReport struct {
 	GoVersion  string `json:"go_version"`
 	GoMaxProcs int    `json:"gomaxprocs"`
@@ -21,20 +22,13 @@ type tenancyScaleReport struct {
 	Apps       int     `json:"apps"`
 	Hosts      int     `json:"hosts"`
 	Contention float64 `json:"contention"`
-	// Deadband is the relative fair-share deadband both runs use (the
+	// Deadband is the relative fair-share deadband of the run (the
 	// production default posture; suppressed updates are counted, not
 	// lost).
 	Deadband float64 `json:"fair_share_deadband"`
+	// AdmitP50BudgetMicros is the admit p50 ceiling the run fails above.
+	AdmitP50BudgetMicros float64 `json:"admit_p50_budget_micros"`
 
-	Incremental   tenancyScaleRun `json:"incremental"`
-	FullRecompute tenancyScaleRun `json:"full_recompute"`
-	// AdmitP50Speedup is full-recompute admit p50 over incremental — the
-	// headline number the CI floor checks.
-	AdmitP50Speedup float64 `json:"admit_p50_speedup"`
-}
-
-// tenancyScaleRun is one allocator configuration's measurement.
-type tenancyScaleRun struct {
 	TimedAdmits      int     `json:"timed_admits"`
 	AdmitP50Micros   float64 `json:"admit_p50_micros"`
 	AdmitP95Micros   float64 `json:"admit_p95_micros"`
@@ -55,38 +49,18 @@ const (
 	tsApps     = 5000
 	tsHosts    = 128
 	tsDeadband = 1e-3
+	// tsAdmitP50Budget fails the run when the admission p50 exceeds it:
+	// the full-recompute allocator's committed 1,427 µs p50 on this
+	// scenario divided by the 5x speedup floor that gate used to enforce.
+	tsAdmitP50Budget = 285 * time.Microsecond
 )
 
-func tenancyScaleRunFrom(res *experiment.TenancyScaleResults) tenancyScaleRun {
-	mics := func(d interface{ Microseconds() int64 }) float64 {
-		return float64(d.Microseconds())
-	}
-	return tenancyScaleRun{
-		TimedAdmits:      res.TimedAdmits,
-		AdmitP50Micros:   mics(res.AdmitP50),
-		AdmitP95Micros:   mics(res.AdmitP95),
-		AdmitMaxMicros:   mics(res.AdmitMax),
-		RecomputeP50Mics: mics(res.RecomputeP50),
-		RecomputeP95Mics: mics(res.RecomputeP95),
-		Recomputes:       res.Stats.Recomputes,
-		CapNotifications: res.Stats.CapNotifications,
-		CoalescedEvents:  res.Stats.CoalescedCapEvents,
-		NotifsPerRecomp:  res.NotificationsPerRecompute,
-		Preempted:        res.Preempted,
-		Promoted:         res.Promoted,
-		AdmittedAtEnd:    res.Totals.Admitted,
-		QueuedAtEnd:      res.Totals.Queued,
-	}
-}
-
-// runTenancyScaleBenchJSON runs the scale scenario with the incremental
-// allocator and the full-recompute baseline and writes the comparison to
-// path. A minSpeedup > 0 turns the report into a regression gate on the
-// admission p50.
-func runTenancyScaleBenchJSON(path string, minSpeedup float64) error {
-	// Lighter churn than the experiment defaults: the full-recompute
-	// baseline pays a solver pass per release and per queued promotion
-	// probe, and the smoke job runs this gate on every push.
+// runTenancyScaleBenchJSON runs the scale scenario, writes the report to
+// path, and fails when the admission p50 exceeds tsAdmitP50Budget.
+func runTenancyScaleBenchJSON(path string) error {
+	// Lighter churn than the experiment defaults, unchanged since the
+	// report compared against the full-recompute allocator, so the
+	// numbers stay comparable with that history.
 	cfg := experiment.TenancyScaleConfig{
 		Apps:              tsApps,
 		Hosts:             tsHosts,
@@ -97,37 +71,40 @@ func runTenancyScaleBenchJSON(path string, minSpeedup float64) error {
 		RecomputeOps:      24,
 	}
 	// Warm up once at a small size (first-use allocations, map growth),
-	// then measure both allocators on the identical sequence.
+	// then measure.
 	warm := cfg
 	warm.Apps, warm.Hosts = 200, 16
 	if _, err := experiment.RunTenancyScale(warm); err != nil {
 		return fmt.Errorf("warmup: %w", err)
 	}
-	inc, err := experiment.RunTenancyScale(cfg)
+	res, err := experiment.RunTenancyScale(cfg)
 	if err != nil {
-		return fmt.Errorf("incremental: %w", err)
+		return err
 	}
-	base := cfg
-	base.DisableIncremental = true
-	full, err := experiment.RunTenancyScale(base)
-	if err != nil {
-		return fmt.Errorf("full recompute: %w", err)
-	}
-
+	mics := func(d time.Duration) float64 { return float64(d.Microseconds()) }
 	report := tenancyScaleReport{
-		GoVersion:     runtime.Version(),
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		Apps:          inc.Config.Apps,
-		Hosts:         inc.Config.Hosts,
-		Contention:    inc.Config.Contention,
-		Deadband:      tsDeadband,
-		Incremental:   tenancyScaleRunFrom(inc),
-		FullRecompute: tenancyScaleRunFrom(full),
+		GoVersion:            runtime.Version(),
+		GoMaxProcs:           runtime.GOMAXPROCS(0),
+		Apps:                 res.Config.Apps,
+		Hosts:                res.Config.Hosts,
+		Contention:           res.Config.Contention,
+		Deadband:             tsDeadband,
+		AdmitP50BudgetMicros: mics(tsAdmitP50Budget),
+		TimedAdmits:          res.TimedAdmits,
+		AdmitP50Micros:       mics(res.AdmitP50),
+		AdmitP95Micros:       mics(res.AdmitP95),
+		AdmitMaxMicros:       mics(res.AdmitMax),
+		RecomputeP50Mics:     mics(res.RecomputeP50),
+		RecomputeP95Mics:     mics(res.RecomputeP95),
+		Recomputes:           res.Stats.Recomputes,
+		CapNotifications:     res.Stats.CapNotifications,
+		CoalescedEvents:      res.Stats.CoalescedCapEvents,
+		NotifsPerRecomp:      res.NotificationsPerRecompute,
+		Preempted:            res.Preempted,
+		Promoted:             res.Promoted,
+		AdmittedAtEnd:        res.Totals.Admitted,
+		QueuedAtEnd:          res.Totals.Queued,
 	}
-	if inc.AdmitP50 > 0 {
-		report.AdmitP50Speedup = float64(full.AdmitP50) / float64(inc.AdmitP50)
-	}
-
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
@@ -135,8 +112,8 @@ func runTenancyScaleBenchJSON(path string, minSpeedup float64) error {
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 		return err
 	}
-	if minSpeedup > 0 && report.AdmitP50Speedup < minSpeedup {
-		return fmt.Errorf("incremental admit p50 speedup %.2fx below required %.2fx", report.AdmitP50Speedup, minSpeedup)
+	if res.AdmitP50 > tsAdmitP50Budget {
+		return fmt.Errorf("admit p50 %v above the %v budget", res.AdmitP50, tsAdmitP50Budget)
 	}
 	return nil
 }

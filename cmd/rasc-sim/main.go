@@ -78,8 +78,7 @@ func main() {
 		dotOut   = flag.String("dot", "", "write the execution graph in Graphviz dot format to this file")
 		gossipOn = flag.Bool("gossip", false, "run the gossip membership protocol: view-backed lookups, gossip-fresh stats, failure-triggered recomposition")
 
-		adaptIvl  = flag.Duration("adapt-interval", 0, "enable the adaptation control plane with this delivery-rate check period (0: disabled; pair with -gossip for failure triggers)")
-		adaptFull = flag.Bool("adapt-full-only", false, "disable incremental reallocation: every adaptation action tears down and re-composes in full")
+		adaptIvl = flag.Duration("adapt-interval", 0, "enable the adaptation control plane with this delivery-rate check period (0: disabled; pair with -gossip for failure triggers)")
 
 		priority     = flag.String("priority", "", "tenancy class of the submitted request: critical, standard or best-effort")
 		admission    = flag.Bool("admission", false, "front submissions with the multi-tenant admission gate (priority classes, fair-share caps, admission queue)")
@@ -134,9 +133,7 @@ func main() {
 			o = append(o, rasc.WithChaos(chaos))
 		}
 		if *adaptIvl > 0 {
-			cfg := rasc.AdaptationConfig{Interval: *adaptIvl}
-			cfg.Control.DisableIncremental = *adaptFull
-			o = append(o, rasc.WithAdaptation(cfg))
+			o = append(o, rasc.WithAdaptation(rasc.AdaptationConfig{Interval: *adaptIvl}))
 		}
 		if tenancyOn {
 			o = append(o, rasc.WithTenancy(rasc.TenancyConfig{

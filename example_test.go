@@ -7,17 +7,17 @@ import (
 	"rasc.dev/rasc"
 )
 
-// ExampleNewSimulated builds a small deterministic deployment and reports
+// ExampleNew builds a small deterministic deployment and reports
 // its size.
-func ExampleNewSimulated() {
-	sys := rasc.NewSimulated(rasc.Options{Nodes: 8, Seed: 1})
+func ExampleNew() {
+	sys := rasc.New(rasc.WithNodes(8), rasc.WithSeed(1))
 	fmt.Println(sys.Nodes(), "nodes")
 	// Output: 8 nodes
 }
 
 // ExampleSystem_Submit composes an application and inspects its placement.
 func ExampleSystem_Submit() {
-	sys := rasc.NewSimulated(rasc.Options{Nodes: 16, Seed: 42})
+	sys := rasc.New(rasc.WithNodes(16), rasc.WithSeed(42))
 	req := rasc.Request{
 		ID:        "example",
 		UnitBytes: 1250,
@@ -36,7 +36,7 @@ func ExampleSystem_Submit() {
 
 // ExampleComposition_Stats streams for a while and reads delivery metrics.
 func ExampleComposition_Stats() {
-	sys := rasc.NewSimulated(rasc.Options{Nodes: 16, Seed: 42})
+	sys := rasc.New(rasc.WithNodes(16), rasc.WithSeed(42))
 	req := rasc.Request{
 		ID:        "example",
 		UnitBytes: 1250,
@@ -53,7 +53,7 @@ func ExampleComposition_Stats() {
 
 // ExampleSystem_EnableTracing shows per-unit timeline reconstruction.
 func ExampleSystem_EnableTracing() {
-	sys := rasc.NewSimulated(rasc.Options{Nodes: 12, Seed: 7})
+	sys := rasc.New(rasc.WithNodes(12), rasc.WithSeed(7))
 	buf := sys.EnableTracing(100_000)
 	req := rasc.Request{
 		ID:        "traced",

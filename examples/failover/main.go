@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	sys := rasc.NewSimulated(rasc.Options{Nodes: 16, Seed: 5})
+	sys := rasc.New(rasc.WithNodes(16), rasc.WithSeed(5))
 	sys.EnableAdaptation(0, 3*time.Second)
 
 	req := rasc.Request{

@@ -6,7 +6,7 @@ import (
 )
 
 func TestFacadeKillAndAdaptation(t *testing.T) {
-	sys := NewSimulated(Options{Nodes: 12, Seed: 31})
+	sys := New(WithNodes(12), WithSeed(31))
 	sys.EnableAdaptation(0, 3*time.Second)
 	req := Request{
 		ID:         "facade-adapt",
@@ -38,7 +38,7 @@ func TestFacadeKillAndAdaptation(t *testing.T) {
 }
 
 func TestFacadeTracing(t *testing.T) {
-	sys := NewSimulated(Options{Nodes: 10, Seed: 32})
+	sys := New(WithNodes(10), WithSeed(32))
 	buf := sys.EnableTracing(50_000)
 	req := Request{
 		ID:         "facade-trace",
@@ -58,7 +58,7 @@ func TestFacadeTracing(t *testing.T) {
 }
 
 func TestFacadePlayoutStats(t *testing.T) {
-	sys := NewSimulated(Options{Nodes: 10, Seed: 33})
+	sys := New(WithNodes(10), WithSeed(33))
 	req := Request{
 		ID:           "facade-playout",
 		UnitBytes:    1250,
@@ -80,7 +80,7 @@ func TestFacadePlayoutStats(t *testing.T) {
 }
 
 func TestFacadeCPUComposer(t *testing.T) {
-	sys := NewSimulated(Options{Nodes: 12, Seed: 34})
+	sys := New(WithNodes(12), WithSeed(34))
 	req := Request{
 		ID:         "facade-cpu",
 		UnitBytes:  1250,

@@ -45,10 +45,8 @@ type TenancyScaleConfig struct {
 	// RecomputeOps timed capacity perturbations (default 50) measure
 	// the standalone recompute+fan-out latency.
 	RecomputeOps int
-	// DisableIncremental pins the full-recompute baseline;
 	// FairShareDeadband forwards to the gate config.
-	DisableIncremental bool
-	FairShareDeadband  float64
+	FairShareDeadband float64
 }
 
 func (c *TenancyScaleConfig) defaults() {
@@ -188,11 +186,10 @@ func RunTenancyScale(cfg TenancyScaleConfig) (*TenancyScaleResults, error) {
 	perHost := capacity / float64(cfg.Hosts)
 
 	g := tenant.NewGate(tenant.Config{
-		MinShareFraction:   cfg.MinShareFraction,
-		QueueCapacity:      cfg.Apps,
-		PerHostLedger:      true,
-		DisableIncremental: cfg.DisableIncremental,
-		FairShareDeadband:  cfg.FairShareDeadband,
+		MinShareFraction:  cfg.MinShareFraction,
+		QueueCapacity:     cfg.Apps,
+		PerHostLedger:     true,
+		FairShareDeadband: cfg.FairShareDeadband,
 	})
 	hostID := func(i int) string { return fmt.Sprintf("host-%03d", i) }
 	for i := 0; i < cfg.Hosts; i++ {

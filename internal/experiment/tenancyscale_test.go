@@ -3,13 +3,15 @@ package experiment
 import (
 	"math"
 	"testing"
+
+	"rasc.dev/rasc/internal/tenant"
 )
 
 // TestRunTenancyScaleSmall runs a scaled-down scenario and checks its
 // structural invariants: the storms actually preempt and promote, the
-// permanently dead hosts' budgets come off exactly once, and the
-// incremental allocator lands on the same final allocation as the
-// full-recompute baseline over the identical operation sequence.
+// permanently dead hosts' budgets come off exactly once, and the final
+// allocation is the closed-form weighted max-min fair share of the
+// admitted demands at the final capacity.
 func TestRunTenancyScaleSmall(t *testing.T) {
 	cfg := TenancyScaleConfig{
 		Apps: 80, Hosts: 16, Seed: 7,
@@ -51,29 +53,30 @@ func TestRunTenancyScaleSmall(t *testing.T) {
 		t.Errorf("stats %+v: want recomputes and notifications", res.Stats)
 	}
 
-	// The identical operation sequence through the full-recompute
-	// baseline must land on the same final allocation.
-	base := cfg
-	base.DisableIncremental = true
-	bres, err := RunTenancyScale(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Totals.Admitted != bres.Totals.Admitted || res.Totals.Queued != bres.Totals.Queued {
-		t.Fatalf("incremental totals %+v != baseline %+v", res.Totals, bres.Totals)
-	}
-	caps := make(map[string]float64, len(bres.Snapshot))
-	for _, s := range bres.Snapshot {
-		caps[s.App] = s.CapBps
-	}
+	// With no deadband every cap is exact: each admitted tenant holds
+	// its FairShares allocation over the admitted demands at the final
+	// capacity.
+	weights := map[string]float64{"critical": 4, "standard": 2, "best-effort": 1}
+	var admitted []tenant.Status
+	var demands []tenant.Demand
 	for _, s := range res.Snapshot {
-		want, ok := caps[s.App]
-		if !ok {
-			t.Errorf("%s present incrementally, absent from the baseline", s.App)
+		if s.State != "admitted" {
 			continue
 		}
-		if diff := math.Abs(s.CapBps - want); diff > 1e-6*math.Max(1, want) {
-			t.Errorf("%s cap %v incremental vs %v baseline", s.App, s.CapBps, want)
+		w, ok := weights[s.Priority]
+		if !ok {
+			t.Fatalf("%s: unknown priority %q", s.App, s.Priority)
+		}
+		admitted = append(admitted, s)
+		demands = append(demands, tenant.Demand{App: s.App, Bps: s.DemandBps, Weight: w})
+	}
+	if len(admitted) != res.Totals.Admitted {
+		t.Fatalf("snapshot lists %d admitted tenants, totals %d", len(admitted), res.Totals.Admitted)
+	}
+	shares := tenant.FairShares(demands, res.Totals.CapacityBps)
+	for i, s := range admitted {
+		if diff := math.Abs(s.CapBps - shares[i]); diff > 1e-6*math.Max(1, shares[i]) {
+			t.Errorf("%s cap %v, closed-form fair share %v", s.App, s.CapBps, shares[i])
 		}
 	}
 }

@@ -153,13 +153,6 @@ type Config struct {
 	// candidate's guaranteed floor, and a host's death releases exactly
 	// that host's budget (RemoveHost is idempotent).
 	PerHostLedger bool
-	// DisableIncremental forces the legacy full-recompute allocator:
-	// every admission/departure/capacity event rebuilds and re-sorts the
-	// whole demand vector (O(n log n)). The incremental allocator
-	// (O(log n + changed) per event) is the default; this switch is kept
-	// as the committed benchmark baseline and the equivalence-test
-	// oracle.
-	DisableIncremental bool
 	// Clock timestamps journal spans and drives the coalescing window
 	// (optional; zero times and inline sweeps without it).
 	Clock clock.Clock
@@ -290,26 +283,21 @@ type Gate struct {
 	queue    []*tenantState // rank-descending, FIFO within a class
 	nextSeq  int64
 
-	// Incremental allocator state (unless cfg.DisableIncremental): the
-	// admitted positive demands ordered by saturation level, plus the
-	// water level of the last applied notification sweep.
+	// Incremental allocator state: the admitted positive demands ordered
+	// by saturation level, plus the water level of the last applied
+	// notification sweep.
 	wf             waterfill
 	lastSweepLevel float64
 	sweepPending   bool    // a coalesced sweep is scheduled on the clock
 	pendingMin     float64 // lowest settle level of the pending window (+Inf outside one)
 
-	// O(1) posture counters (both paths).
+	// O(1) posture counters.
 	classCount [3]int // admitted tenants per priority rank
 	demandSum  float64
 
 	// Per-host capacity ledger (cfg.PerHostLedger).
 	hosts      map[string]*hostState
 	hostCapSum float64
-
-	// Legacy-path scratch so the full recompute is allocation-light.
-	fsDst     []float64
-	fsDemands []Demand
-	fsScratch FairShareScratch
 
 	preemptions int64
 	rejections  int64
@@ -397,11 +385,11 @@ func (g *Gate) unregisterAdmittedLocked(t *tenantState) {
 // the incremental structure consistent.
 func (g *Gate) updateDemandLocked(t *tenantState, demandBps float64) {
 	g.demandSum += demandBps - t.demandBps
-	if !g.cfg.DisableIncremental && t.demandBps > 0 {
+	if t.demandBps > 0 {
 		g.wf.remove(t.app, t.demandBps, t.weight)
 	}
 	t.demandBps = demandBps
-	if !g.cfg.DisableIncremental && t.demandBps > 0 {
+	if t.demandBps > 0 {
 		g.wf.insert(t.app, t.demandBps, t.weight)
 	}
 }
@@ -419,7 +407,7 @@ func (g *Gate) Admit(app string, pri spec.Priority, demandBps float64, owner Own
 		if t.demandBps != demandBps {
 			g.updateDemandLocked(t, demandBps)
 			n := &notifs{}
-			g.rebalanceDispatchLocked(n, t)
+			g.incRebalanceLocked(n, t)
 			g.refreshGaugesLocked()
 			cap := t.capBps
 			g.mu.Unlock()
@@ -444,32 +432,10 @@ func (g *Gate) Admit(app string, pri spec.Priority, demandBps float64, owner Own
 	}
 	g.nextSeq++
 
-	if g.cfg.MaxTenants > 0 && len(g.admitted) >= g.cfg.MaxTenants {
-		dec := g.parkLocked(cand, "tenant limit reached")
-		g.refreshGaugesLocked()
-		g.mu.Unlock()
-		return dec
-	}
-	if reason, ok := g.hostProbeLocked(demandBps); !ok {
-		dec := g.parkLocked(cand, reason)
-		g.refreshGaugesLocked()
-		g.mu.Unlock()
-		return dec
-	}
 	n := &notifs{}
-	var victims int
-	admitted := false
-	if g.cfg.DisableIncremental {
-		shares, v, ok := g.solveLocked(cand, true)
-		if ok {
-			g.commitLocked(cand, shares, v, n)
-			victims, admitted = len(v), true
-		}
-	} else {
-		victims, admitted = g.incAdmitLocked(cand, n)
-	}
-	if !admitted {
-		dec := g.parkLocked(cand, "fair share below guaranteed floor")
+	victims, reason := g.incAdmitLocked(cand, n)
+	if reason != "" {
+		dec := g.parkLocked(cand, reason)
 		g.refreshGaugesLocked()
 		g.mu.Unlock()
 		return dec
@@ -558,104 +524,13 @@ func (g *Gate) evictLocked(v *tenantState, n *notifs) {
 	n.preempted = append(n.preempted, v)
 }
 
-// rebalanceDispatchLocked routes a re-settle to the configured allocator.
-func (g *Gate) rebalanceDispatchLocked(n *notifs, skip *tenantState) {
-	if g.cfg.DisableIncremental {
-		g.rebalanceLocked(n, skip)
-	} else {
-		g.incRebalanceLocked(n, skip)
-	}
-}
-
 // ---------------------------------------------------------------------
-// Legacy full-recompute path (cfg.DisableIncremental). Kept verbatim in
-// behavior: it is the committed benchmark baseline and the oracle the
-// incremental path is property-tested against.
+// The allocator: the waterfill treap gives the water level in O(log n),
+// the closed form share = min(demand, L·weight) gives each cap without
+// touching the others, and fan-out visits only the suffix of entries
+// whose share can have moved. The FairShares closed form and the refGate
+// reference model (refgate_test.go) are its test oracles.
 // ---------------------------------------------------------------------
-
-// solveLocked computes the water-filling allocation with cand tentatively
-// in the pool (cand nil = rebalance of the standing tenants). It returns
-// the per-app shares and the tenants that must be preempted to make the
-// allocation viable. ok is false when no viable allocation exists without
-// degrading a tenant of rank ≥ cand's below the guaranteed floor.
-//
-// allowEvict false (queue promotions) demands a clean fit: no preemption,
-// no floor violations.
-func (g *Gate) solveLocked(cand *tenantState, allowEvict bool) (map[string]float64, []*tenantState, bool) {
-	start := time.Now()
-	defer func() { telRecomputeLatency.Observe(time.Since(start).Seconds()) }()
-	pool := make([]*tenantState, 0, len(g.admitted)+1)
-	for _, t := range g.admitted {
-		pool = append(pool, t)
-	}
-	if cand != nil {
-		pool = append(pool, cand)
-	}
-	sort.Slice(pool, func(i, j int) bool { return pool[i].app < pool[j].app })
-	var victims []*tenantState
-	for {
-		g.fsDemands = g.fsDemands[:0]
-		for _, t := range pool {
-			g.fsDemands = append(g.fsDemands, Demand{App: t.app, Bps: t.demandBps, Weight: g.cfg.Weight(t.pri)})
-		}
-		g.fsDst = FairSharesInto(g.fsDst, &g.fsScratch, g.fsDemands, g.capacity)
-		shares := g.fsDst
-		viable := true
-		for i, t := range pool {
-			if shares[i] < g.cfg.MinShareFraction*t.demandBps-1e-9 {
-				viable = false
-				break
-			}
-		}
-		if viable {
-			out := make(map[string]float64, len(pool))
-			for i, t := range pool {
-				out[t.app] = shares[i]
-			}
-			return out, victims, true
-		}
-		if !allowEvict {
-			return nil, nil, false
-		}
-		// Evict the lowest-ranked evictable tenant: below cand's rank in
-		// admission mode, below the pool's top rank (and itself below
-		// floor) in rebalance mode. Ties: largest demand frees the most,
-		// then app for determinism.
-		var best *tenantState
-		bestIdx := -1
-		for i, t := range pool {
-			if t == cand {
-				continue
-			}
-			if cand != nil {
-				if t.pri.Rank() >= cand.pri.Rank() {
-					continue
-				}
-			} else {
-				if t.pri.Rank() >= maxRank(pool) || shares[i] >= g.cfg.MinShareFraction*t.demandBps-1e-9 {
-					continue
-				}
-			}
-			if best == nil || less(t, best) {
-				best, bestIdx = t, i
-			}
-		}
-		if best == nil {
-			if cand == nil {
-				// Rebalance with nothing to shed: the surviving class
-				// shares the shortage below floor.
-				out := make(map[string]float64, len(pool))
-				for i, t := range pool {
-					out[t.app] = shares[i]
-				}
-				return out, victims, true
-			}
-			return nil, nil, false
-		}
-		victims = append(victims, best)
-		pool = append(pool[:bestIdx], pool[bestIdx+1:]...)
-	}
-}
 
 // less orders eviction candidates: lowest rank first, then largest
 // demand, then app ascending.
@@ -669,107 +544,9 @@ func less(a, b *tenantState) bool {
 	return a.app < b.app
 }
 
-func maxRank(pool []*tenantState) int {
-	r := 0
-	for _, t := range pool {
-		if t.pri.Rank() > r {
-			r = t.pri.Rank()
-		}
-	}
-	return r
-}
-
-// commitLocked applies a solved allocation: victims move to the queue,
-// cand (if any) joins the admitted set, and cap changes are collected for
-// delivery.
-func (g *Gate) commitLocked(cand *tenantState, shares map[string]float64, victims []*tenantState, n *notifs) {
-	g.statRecomputes++
-	telRecomputes.Inc()
-	for _, v := range victims {
-		g.evictLocked(v, n)
-	}
-	if cand != nil {
-		g.registerAdmittedLocked(cand)
-	}
-	apps := make([]string, 0, len(g.admitted))
-	for app := range g.admitted {
-		apps = append(apps, app)
-	}
-	sort.Strings(apps)
-	for _, app := range apps {
-		t := g.admitted[app]
-		cap, ok := shares[app]
-		if !ok {
-			continue
-		}
-		if t == cand {
-			t.capBps = cap
-			continue
-		}
-		if math.Abs(cap-t.capBps) > 1e-6 {
-			t.capBps = cap
-			g.statCapNotifs++
-			telCapChanges.Inc()
-			n.capChange = append(n.capChange, t)
-		}
-	}
-}
-
-// rebalanceLocked re-settles the standing allocation (after a departure,
-// demand update or capacity change), then promotes queued tenants that
-// now fit cleanly.
-func (g *Gate) rebalanceLocked(n *notifs, skipNotify *tenantState) {
-	if len(g.admitted) > 0 {
-		shares, victims, _ := g.solveLocked(nil, true)
-		g.commitLocked(nil, shares, victims, n)
-		if skipNotify != nil {
-			kept := n.capChange[:0]
-			for _, t := range n.capChange {
-				if t != skipNotify {
-					kept = append(kept, t)
-				}
-			}
-			n.capChange = kept
-		}
-	}
-	g.promoteLocked(n)
-}
-
-// promoteLocked admits queued tenants that fit without preemption, in
-// priority order.
-func (g *Gate) promoteLocked(n *notifs) {
-	for i := 0; i < len(g.queue); {
-		q := g.queue[i]
-		if g.cfg.MaxTenants > 0 && len(g.admitted) >= g.cfg.MaxTenants {
-			return
-		}
-		shares, _, ok := g.solveLocked(q, false)
-		if !ok {
-			i++
-			continue
-		}
-		g.queue = append(g.queue[:i], g.queue[i+1:]...)
-		g.commitLocked(q, shares, nil, n)
-		q.state = StateAdmitted
-		q.admittedAt = g.now()
-		telAdmissions.With("promoted").Inc()
-		g.record(q.app, "promote", "capacity freed", nil,
-			trace.A("priority", q.pri.String()),
-			trace.AInt("cap_bps", int64(q.capBps)))
-		n.promoted = append(n.promoted, q)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Incremental path (the default): the waterfill treap gives the water
-// level in O(log n), the closed form share = min(demand, L·weight) gives
-// each cap without touching the others, and fan-out visits only the
-// suffix of entries whose share can have moved.
-// ---------------------------------------------------------------------
-
 // incViableLocked reports whether the admitted set is viable at water
 // level L: every tenant's share is at least MinShareFraction of its
-// demand (within the oracle's 1e-9 slack). Satisfied tenants always pass
+// demand (within a 1e-9 slack). Satisfied tenants always pass
 // (the floor fraction is ≤ 1), so only the highest-level entry — the
 // worst share/demand ratio — needs checking.
 func (g *Gate) incViableLocked(L float64) bool {
@@ -792,11 +569,18 @@ func (g *Gate) shareForLocked(t *tenantState, L float64) float64 {
 	return wfShare(&e, L)
 }
 
-// incAdmitLocked decides an admission on the incremental structure:
-// tentatively insert the candidate, peel off lower-ranked victims while
-// the allocation is not viable, then commit — or roll the structure back
-// untouched when no viable allocation exists.
-func (g *Gate) incAdmitLocked(cand *tenantState, n *notifs) (int, bool) {
+// incAdmitLocked decides an admission: past the tenant limit and the
+// host probe, tentatively insert the candidate, peel off lower-ranked
+// victims while the allocation is not viable, then commit — or roll the
+// structure back untouched when no viable allocation exists. It returns
+// the number of tenants preempted, or the reason to park the candidate.
+func (g *Gate) incAdmitLocked(cand *tenantState, n *notifs) (int, string) {
+	if g.cfg.MaxTenants > 0 && len(g.admitted) >= g.cfg.MaxTenants {
+		return 0, "tenant limit reached"
+	}
+	if reason, ok := g.hostProbeLocked(cand.demandBps); !ok {
+		return 0, reason
+	}
 	if cand.demandBps > 0 {
 		g.wf.insert(cand.app, cand.demandBps, cand.weight)
 	}
@@ -831,14 +615,14 @@ func (g *Gate) incAdmitLocked(cand *tenantState, n *notifs) (int, bool) {
 		if cand.demandBps > 0 {
 			g.wf.remove(cand.app, cand.demandBps, cand.weight)
 		}
-		return 0, false
+		return 0, "fair share below guaranteed floor"
 	}
 	for _, v := range victims {
 		g.evictLocked(v, n)
 	}
 	g.registerAdmittedLocked(cand)
 	g.incSettleLocked(n, cand)
-	return len(victims), true
+	return len(victims), ""
 }
 
 // incPickVictimLocked selects the admission-mode eviction victim: the
@@ -957,7 +741,7 @@ func (g *Gate) incSettleLocked(n *notifs, skip *tenantState) {
 	L := g.wf.level(g.capacity)
 	if skip != nil && g.admitted[skip.app] == skip {
 		// Still admitted — a demand change that evicted skip itself keeps
-		// its last cap, like the full-recompute path.
+		// its last cap.
 		skip.capBps = g.shareForLocked(skip, L)
 	}
 	// Tenants promoted this operation had their caps fixed at the water
@@ -1082,12 +866,12 @@ func relDiff(a, b float64) float64 {
 func (g *Gate) Release(app string) {
 	g.mu.Lock()
 	if t, ok := g.admitted[app]; ok {
-		if !g.cfg.DisableIncremental && t.demandBps > 0 {
+		if t.demandBps > 0 {
 			g.wf.remove(t.app, t.demandBps, t.weight)
 		}
 		g.unregisterAdmittedLocked(t)
 		n := &notifs{}
-		g.rebalanceDispatchLocked(n, nil)
+		g.incRebalanceLocked(n, nil)
 		g.refreshGaugesLocked()
 		g.mu.Unlock()
 		n.deliver()
@@ -1114,7 +898,7 @@ func (g *Gate) SetCapacity(bps float64) {
 	}
 	g.capacity = bps
 	n := &notifs{}
-	g.rebalanceDispatchLocked(n, nil)
+	g.incRebalanceLocked(n, nil)
 	g.refreshGaugesLocked()
 	g.mu.Unlock()
 	n.deliver()
@@ -1163,7 +947,10 @@ func (g *Gate) CapBps(app string) (float64, bool) {
 	return t.capBps, true
 }
 
-// Totals returns the gate's aggregate posture.
+// Totals returns the gate's aggregate posture. AllocatedBps sums the
+// caps in water-fill order, which holds every admitted tenant with a
+// positive demand (the rest are capped at 0), so repeated calls on an
+// unchanged gate return bit-identical totals.
 func (g *Gate) Totals() Totals {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -1172,9 +959,9 @@ func (g *Gate) Totals() Totals {
 		CapacityBps: g.capacity, DemandBps: g.demandSum,
 		Preemptions: g.preemptions, Rejections: g.rejections,
 	}
-	for _, t := range g.admitted {
-		tt.AllocatedBps += t.capBps
-	}
+	g.wf.suffix(math.Inf(-1), func(e *wfEntry) {
+		tt.AllocatedBps += g.admitted[e.app].capBps
+	})
 	return tt
 }
 

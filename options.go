@@ -75,10 +75,10 @@ func WithAdaptation(cfg AdaptationConfig) Option {
 // sub-threshold relative moves, CapCoalesceWindow collapses fan-out
 // bursts into one sweep, PerHostLedger accounts capacity per node (a
 // death releases exactly that node's budget, and admission additionally
-// probes for a host with placement headroom), and DisableIncremental
-// pins the O(n log n) full-recompute allocator instead of the
-// incremental one. The zero value selects the defaults documented on
-// each field.
+// probes for a host with placement headroom). The allocator is
+// incremental: an admission, departure or capacity change costs
+// O(log n) plus the tenants whose caps move. The zero value selects the
+// defaults documented on each field.
 type TenancyConfig = tenant.Config
 
 // WithTenancy fronts every node's submission path with one shared
@@ -149,20 +149,6 @@ func WithFederation(cfg FederationConfig) Option {
 // deployments remain exactly reproducible. Partitions are managed at
 // runtime with System.Partition, System.Heal and System.HealAll.
 func WithChaos(cfg ChaosConfig) Option { return func(o *Options) { o.Chaos = &cfg } }
-
-// New builds a deterministic simulated RASC deployment: N overlay nodes
-// joined through Pastry over a PlanetLab-like wide-area network model,
-// services registered in the DHT, a stream engine on every node. Options
-// override the paper's defaults:
-//
-//	sys := rasc.New(rasc.WithNodes(16), rasc.WithSeed(7), rasc.WithGossip(true))
-func New(opts ...Option) *System {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return newSystem(o)
-}
 
 // chaosAt returns node i's fault injector, panicking with a clear message
 // when the deployment was built without WithChaos (a programming error,

@@ -79,9 +79,8 @@ func StandardCatalog() Catalog { return services.Standard() }
 // composer.
 func ExtendedCatalog() Catalog { return services.Extended() }
 
-// Options configures a simulated RASC deployment. New code should prefer
-// New with functional options; Options remains for callers that assemble
-// configuration as a value.
+// Options configures a simulated RASC deployment; New assembles it from
+// functional options (see Option).
 type Options struct {
 	// Nodes is the deployment size (default 32, the paper's testbed).
 	Nodes int
@@ -127,17 +126,17 @@ type System struct {
 	d *deploy.System
 }
 
-// NewSimulated builds a deterministic simulated deployment from an Options
-// value.
+// New builds a deterministic simulated RASC deployment: N overlay nodes
+// joined through Pastry over a PlanetLab-like wide-area network model,
+// services registered in the DHT, a stream engine on every node. Options
+// override the paper's defaults:
 //
-// Deprecated: use New with functional options — rasc.New(rasc.WithNodes(16),
-// rasc.WithSeed(7)) — which is extensible without breaking callers.
-// NewSimulated remains as a thin shim over the same construction path.
-func NewSimulated(opts Options) *System { return newSystem(opts) }
-
-// newSystem is the single construction path behind New and NewSimulated:
-// it applies the paper's defaults and assembles the deployment.
-func newSystem(opts Options) *System {
+//	sys := rasc.New(rasc.WithNodes(16), rasc.WithSeed(7), rasc.WithGossip(true))
+func New(options ...Option) *System {
+	var opts Options
+	for _, opt := range options {
+		opt(&opts)
+	}
 	if opts.Nodes == 0 {
 		opts.Nodes = 32
 	}

@@ -8,8 +8,8 @@ import (
 	"rasc.dev/rasc/internal/core"
 )
 
-func TestNewSimulatedDefaults(t *testing.T) {
-	sys := NewSimulated(Options{Seed: 1})
+func TestNewDefaults(t *testing.T) {
+	sys := New(WithSeed(1))
 	if sys.Nodes() != 32 {
 		t.Fatalf("Nodes = %d, want 32", sys.Nodes())
 	}
@@ -21,7 +21,7 @@ func TestNewSimulatedDefaults(t *testing.T) {
 }
 
 func TestSubmitAndStream(t *testing.T) {
-	sys := NewSimulated(Options{Nodes: 16, Seed: 2})
+	sys := New(WithNodes(16), WithSeed(2))
 	req := Request{
 		ID:        "t1",
 		UnitBytes: 1250,
@@ -51,7 +51,7 @@ func TestSubmitAndStream(t *testing.T) {
 
 func TestSubmitAllComposers(t *testing.T) {
 	for _, composer := range []Composer{ComposerMinCost, ComposerMinCostNoSplit, ComposerGreedy, ComposerRandom, ComposerLP} {
-		sys := NewSimulated(Options{Nodes: 12, Seed: 3})
+		sys := New(WithNodes(12), WithSeed(3))
 		req := Request{
 			ID:         "t-" + composer.String(),
 			UnitBytes:  1250,
@@ -69,7 +69,7 @@ func TestSubmitAllComposers(t *testing.T) {
 }
 
 func TestSubmitErrors(t *testing.T) {
-	sys := NewSimulated(Options{Nodes: 8, Seed: 4})
+	sys := New(WithNodes(8), WithSeed(4))
 	req := Request{
 		ID:         "bad",
 		UnitBytes:  1250,
@@ -92,7 +92,7 @@ func TestSubmitErrors(t *testing.T) {
 }
 
 func TestCompositionStop(t *testing.T) {
-	sys := NewSimulated(Options{Nodes: 12, Seed: 5})
+	sys := New(WithNodes(12), WithSeed(5))
 	req := Request{
 		ID:         "stopme",
 		UnitBytes:  1250,
@@ -113,7 +113,7 @@ func TestCompositionStop(t *testing.T) {
 }
 
 func TestNodeReport(t *testing.T) {
-	sys := NewSimulated(Options{Nodes: 8, Seed: 6})
+	sys := New(WithNodes(8), WithSeed(6))
 	req := Request{
 		ID:         "mon",
 		UnitBytes:  1250,
@@ -134,7 +134,7 @@ func TestNodeReport(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() DeliveryStats {
-		sys := NewSimulated(Options{Nodes: 12, Seed: 77})
+		sys := New(WithNodes(12), WithSeed(77))
 		req := Request{
 			ID:         "det",
 			UnitBytes:  1250,
